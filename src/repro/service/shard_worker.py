@@ -331,7 +331,7 @@ def run_worker(
     """
     from repro.updates import DeltaLog, ShardWorkerUpdater
 
-    snapshot = ShardedSnapshot.load(snapshot_dir)
+    snapshot = ShardedSnapshot.load(snapshot_dir).frozen()
     if not 0 <= shard_id < snapshot.num_shards:
         raise ServiceError(
             f"shard {shard_id} out of range: snapshot has "

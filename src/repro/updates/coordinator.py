@@ -175,7 +175,6 @@ class UpdateCoordinator:
         state = self._state
         base_router = router.snapshot.view()
         base_worker = router.snapshot.compact_graph
-        before_view = OverlayGraphView(base_router, state)
 
         new_state, applied = apply_deltas(base_router, state, deltas)
         if not applied:
@@ -200,7 +199,8 @@ class UpdateCoordinator:
             linker = EntityLinker(after_view, router.linker_tokenizer)
 
         ball = delta_ball(
-            changed_nodes(applied), before=before_view, after=after_view
+            changed_nodes(applied), base=base_worker, before=state,
+            after=new_state,
         )
 
         router.apply_overlay(
@@ -212,12 +212,13 @@ class UpdateCoordinator:
             expansion_eviction_predicate(ball)
         )
         evicted_links = router.evict_links() if linker is not None else 0
+        stale_workers, remote = self._fan_out(applied, new_state.generation)
+        evicted_expansions += remote["expansion"]
+        evicted_links += remote["link"]
         metrics = self._metrics
         if metrics is not None:
             metrics.delta_invalidations.inc(evicted_expansions, cache="expansion")
             metrics.delta_invalidations.inc(evicted_links, cache="link")
-
-        stale_workers = self._fan_out(applied, new_state.generation)
         return {
             "generation": new_state.generation,
             "applied": len(applied),
@@ -320,25 +321,35 @@ class UpdateCoordinator:
     # Internals
     # ------------------------------------------------------------------
 
-    def _fan_out(self, deltas: list[Delta], generation: int) -> list[int]:
+    def _fan_out(
+        self, deltas: list[Delta], generation: int
+    ) -> tuple[list[int], dict[str, int]]:
         """Push one applied batch to every supervised socket worker.
 
         Returns the shards that could not be reached — their durable log
         entry makes the next restart heal them; callers surface the list
-        so operators can force a restart instead of waiting.
+        so operators can force a restart instead of waiting — and the
+        cache entries the reachable workers evicted, per cache.
         """
+        evicted = {"expansion": 0, "link": 0}
         if self._supervisor is None:
-            return []
+            return [], evicted
         payloads = [delta.to_payload() for delta in deltas]
         stale = []
         for shard_id in range(self._supervisor.num_shards):
-            if not self._push_to_worker(shard_id, payloads, generation):
+            result = self._push_to_worker(shard_id, payloads, generation)
+            if result is None:
                 stale.append(shard_id)
-        return stale
+                continue
+            for cache in evicted:
+                evicted[cache] += result["invalidated"][cache]
+        return stale, evicted
 
     def _push_to_worker(
         self, shard_id: int, payloads: list[dict], generation: int
-    ) -> bool:
+    ) -> dict | None:
+        """The worker's ``apply_delta`` summary, or ``None`` if every
+        attempt failed."""
         for _ in range(_FANOUT_ATTEMPTS):
             try:
                 host, port = self._supervisor.endpoint(shard_id)
@@ -361,10 +372,10 @@ class UpdateCoordinator:
                     response = wire.recv_frame(sock)
                 if response is None or response.get("error") is not None:
                     continue
-                return True
+                return response["result"]
             except Exception:  # noqa: BLE001 — transport errors retry
                 continue
-        return False
+        return None
 
     def _warm_from_request_log(self) -> int:
         """Re-expand recently seen queries through the fresh stack.
@@ -429,14 +440,13 @@ class ShardWorkerUpdater:
             if generation is not None and int(generation) != current:
                 raise StaleGenerationError(current, generation)
             state = self._state
-            before_view = OverlayGraphView(self._base, state)
             new_state, applied = apply_deltas(self._base, state, deltas)
             if not applied:
                 return {
                     "generation": current,
                     "applied": 0,
                     "last_seq": state.last_seq,
-                    "invalidated": 0,
+                    "invalidated": {"expansion": 0, "link": 0},
                 }
             after_view = OverlayGraphView(self._base, new_state)
             linker = None
@@ -445,18 +455,22 @@ class ShardWorkerUpdater:
                     after_view, self._worker.engine.tokenizer
                 )
             ball = delta_ball(
-                changed_nodes(applied), before=before_view, after=after_view
+                changed_nodes(applied), base=self._base, before=state,
+                after=new_state,
             )
             self._worker.set_graph(after_view, linker=linker)
             self._state = new_state
-            evicted = self._worker.evict_expansions(
+            evicted_expansions = self._worker.evict_expansions(
                 expansion_eviction_predicate(ball)
             )
-            if linker is not None:
-                evicted += self._worker.evict_links()
+            evicted_links = self._worker.evict_links() if linker is not None \
+                else 0
             return {
                 "generation": current,
                 "applied": len(applied),
                 "last_seq": new_state.last_seq,
-                "invalidated": evicted,
+                "invalidated": {
+                    "expansion": evicted_expansions,
+                    "link": evicted_links,
+                },
             }

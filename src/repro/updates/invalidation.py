@@ -27,8 +27,11 @@ deltas (:func:`deltas_touch_titles`).
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain
 
 from repro.updates.deltas import Delta
+from repro.updates.overlay import OverlayGraphView, OverlayState
+from repro.wiki.compact import CompactGraphView
 
 __all__ = [
     "INVALIDATION_RADIUS",
@@ -62,39 +65,66 @@ def deltas_touch_titles(deltas: Iterable[Delta]) -> bool:
     return any(delta.op in _TITLE_OPS for delta in deltas)
 
 
-def _neighbors(view, node_id: int) -> frozenset[int]:
-    if node_id not in view:
-        return frozenset()
-    return view.undirected_neighbors(node_id)
+def _split_by_base(node_ids: Iterable[int], index_of) -> tuple[set[int], set[int]]:
+    """``(base indices, ids the base does not hold)`` of ``node_ids``."""
+    indices: set[int] = set()
+    outside: set[int] = set()
+    for node in node_ids:
+        idx = index_of.get(node)
+        if idx is None:
+            outside.add(node)
+        else:
+            indices.add(idx)
+    return indices, outside
 
 
 def delta_ball(
     sources: Iterable[int],
     *,
-    before,
-    after,
+    base: CompactGraphView,
+    before: OverlayState,
+    after: OverlayState,
     radius: int = INVALIDATION_RADIUS,
 ) -> frozenset[int]:
-    """BFS ball around ``sources`` over the union adjacency of both views.
+    """BFS ball around ``sources`` over the union of both adjacencies.
 
-    ``before`` is the effective view the batch was applied against,
-    ``after`` the view with the batch folded in; a node absent from one
-    side contributes no neighbours there (removed and added nodes are
-    handled uniformly).
+    ``base`` is the frozen CSR graph both overlay states sit on;
+    ``before`` is the state the batch was applied against, ``after`` the
+    state with the batch folded in.  The BFS runs level by level in base
+    index space.  A node outside both states' ``touched`` and
+    ``removed`` sets has the same row on either side, so it is expanded
+    straight from its CSR slice; only touched, removed or added nodes go
+    through :meth:`OverlayGraphView.undirected_neighbors`, once per
+    side.  (Every neighbour of a removed node is touched, so a clean
+    row never names a node the overlay dropped.)
     """
-    ball = set(sources)
-    frontier = set(sources)
+    node_ids, index_of, offsets, targets = base.kernel_csr()[:4]
+    views = (OverlayGraphView(base, before), OverlayGraphView(base, after))
+    dirty, _ = _split_by_base(
+        before.touched | before.removed | after.touched | after.removed,
+        index_of,
+    )
+    frontier, frontier_outside = _split_by_base(sources, index_of)
+    ball, ball_outside = set(frontier), set(frontier_outside)
     for _ in range(radius):
-        if not frontier:
+        if not frontier and not frontier_outside:
             break
-        next_frontier: set[int] = set()
-        for node in frontier:
-            next_frontier |= _neighbors(before, node)
-            next_frontier |= _neighbors(after, node)
-        next_frontier -= ball
-        ball |= next_frontier
-        frontier = next_frontier
-    return frozenset(ball)
+        reached: set[int] = set()
+        for idx in frontier - dirty:
+            reached.update(targets[offsets[idx]:offsets[idx + 1]])
+        via_overlay: set[int] = set()
+        for node in chain(
+            map(node_ids.__getitem__, frontier & dirty), frontier_outside
+        ):
+            for view in views:
+                via_overlay |= view.undirected_neighbors(node)
+        reached_base, reached_outside = _split_by_base(via_overlay, index_of)
+        reached |= reached_base
+        frontier = reached - ball
+        frontier_outside = reached_outside - ball_outside
+        ball |= frontier
+        ball_outside |= frontier_outside
+    return frozenset(map(node_ids.__getitem__, ball)).union(ball_outside)
 
 
 def expansion_eviction_predicate(ball: frozenset[int]):

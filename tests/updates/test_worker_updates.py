@@ -91,7 +91,7 @@ class TestShardWorkerUpdater:
         assert updater.apply_payloads(_payloads(anchor))["applied"] == 2
         again = updater.apply_payloads(_payloads(anchor))
         assert again["applied"] == 0
-        assert again["invalidated"] == 0
+        assert again["invalidated"] == {"expansion": 0, "link": 0}
         with pytest.raises(StaleGenerationError):
             updater.apply_payloads(_payloads(anchor), generation=3)
 
