@@ -714,7 +714,8 @@ def shard_worker_main(argv: list[str] | None = None) -> int:
     supervisor) spawns once per shard; it can also be started by hand
     for debugging.  The worker loads its shard, binds, and prints a
     single ready line (``shard-worker: shard I serving on HOST:PORT
-    pid=PID``) the supervisor parses.  Protocol and framing:
+    pid=PID``) the supervisor parses.  With a pipe on stdin the worker
+    exits when the pipe closes.  Protocol and framing:
     ``docs/shard_protocol.md``.
     """
     from repro.errors import ReproError

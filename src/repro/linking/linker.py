@@ -23,7 +23,11 @@ from repro.linking.synonyms import SynonymProvider
 from repro.retrieval.tokenizer import Tokenizer
 from repro.wiki.graph import WikiGraph
 
-__all__ = ["EntityLinker", "EntityMatch", "LinkResult"]
+__all__ = ["EntityLinker", "EntityMatch", "LinkResult", "MAX_TITLE_TOKENS"]
+
+# Default cap on the token length of a matchable title (see
+# ``EntityLinker(max_title_tokens=...)``).
+MAX_TITLE_TOKENS = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,9 +86,11 @@ class EntityLinker:
         titles hardly exceed ~10 tokens.
     title_index:
         A prebuilt vocabulary (tokenised title -> article id), e.g. one
-        loaded from a service snapshot.  When given, the title scan over
-        ``graph`` is skipped entirely; the caller asserts the vocabulary
-        was built with a compatible tokenizer.
+        loaded from a service snapshot or derived by
+        :class:`~repro.updates.overlay.TitleTable`.  When given, the
+        title scan over ``graph`` is skipped entirely; the caller asserts
+        the vocabulary was built with a compatible tokenizer.  It may be
+        empty, as the scan's is when no title tokenises.
     """
 
     def __init__(
@@ -94,7 +100,7 @@ class EntityLinker:
         *,
         use_synonyms: bool = True,
         resolve_redirects: bool = True,
-        max_title_tokens: int = 12,
+        max_title_tokens: int = MAX_TITLE_TOKENS,
         title_index: dict[tuple[str, ...], int] | None = None,
     ) -> None:
         if graph.num_articles == 0:
@@ -113,8 +119,6 @@ class EntityLinker:
         self._title_index: dict[tuple[str, ...], int] = {}
         self._max_len = 1
         if title_index is not None:
-            if not title_index:
-                raise LinkingError("prebuilt title_index must be non-empty")
             for tokens, article_id in title_index.items():
                 self._title_index[tuple(tokens)] = article_id
                 self._max_len = max(self._max_len, len(tokens))
@@ -130,6 +134,11 @@ class EntityLinker:
     def num_titles(self) -> int:
         """Number of distinct tokenised titles the linker can match."""
         return len(self._title_index)
+
+    @property
+    def max_title_length(self) -> int:
+        """Token length of the longest matchable title (at least 1)."""
+        return self._max_len
 
     def vocabulary(self) -> dict[tuple[str, ...], int]:
         """Copy of the matching vocabulary (tokenised title -> article id).

@@ -10,7 +10,10 @@ machinery the HTTP front end uses.  Start one with::
 
 ``--port 0`` binds an ephemeral port; the worker prints a single ready
 line (``shard-worker: shard 2 serving on 127.0.0.1:PORT pid=PID``) that
-:class:`~repro.service.supervisor.ShardSupervisor` parses.
+:class:`~repro.service.supervisor.ShardSupervisor` parses.  When stdin
+is a pipe — the supervisor spawns workers with one it never writes to —
+the worker exits as soon as the pipe closes, so a worker cannot outlive
+its supervisor's process, however that process died.
 
 Connection lifecycle: the first frame on every connection must be a
 ``hello`` handshake carrying the peer's protocol version.  A mismatch
@@ -41,6 +44,8 @@ from __future__ import annotations
 
 import asyncio
 import os
+import stat
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.expansion import Expander, NeighborhoodCycleExpander
@@ -313,6 +318,27 @@ def _error_frame(error_type: str, message: str) -> dict:
     return {"error": {"type": error_type, "message": message}}
 
 
+def _exit_when_stdin_pipe_closes() -> None:
+    """Exit the process once a piped stdin reaches end of file.
+
+    The pipe's write end lives in the supervisor's process, and the
+    kernel closes it when that process exits for any reason.  A stdin
+    that is not a pipe (a terminal, ``/dev/null``) is left alone.
+    """
+    try:
+        if not stat.S_ISFIFO(os.fstat(0).st_mode):
+            return
+    except OSError:
+        return
+
+    def watch() -> None:
+        while os.read(0, 4096):
+            pass
+        os._exit(0)
+
+    threading.Thread(target=watch, name="stdin-eof-watch", daemon=True).start()
+
+
 def run_worker(
     snapshot_dir: str,
     shard_id: int,
@@ -331,6 +357,7 @@ def run_worker(
     """
     from repro.updates import DeltaLog, ShardWorkerUpdater
 
+    _exit_when_stdin_pipe_closes()
     snapshot = ShardedSnapshot.load(snapshot_dir).frozen()
     if not 0 <= shard_id < snapshot.num_shards:
         raise ServiceError(

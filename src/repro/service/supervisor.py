@@ -173,8 +173,9 @@ class ShardSupervisor:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-            if proc.stdout is not None:
-                proc.stdout.close()
+            for pipe in (proc.stdin, proc.stdout):
+                if pipe is not None:
+                    pipe.close()
 
     def reload(self, *, timeout_s: float = 60.0) -> None:
         """Rolling restart: every shard gets a fresh worker process.
@@ -282,6 +283,9 @@ class ShardSupervisor:
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
         proc = subprocess.Popen(
             cmd,
+            # Never written: the worker exits when this pipe closes, which
+            # the kernel does when this process exits, even on SIGKILL.
+            stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,

@@ -18,7 +18,9 @@ to every layer in one reference swap
 generation (:class:`~repro.errors.StaleGenerationError` on mismatch),
 fold it into a copy-on-write successor state, durably append it to the
 :class:`~repro.updates.log.DeltaLog` *before* publishing, rebuild the
-entity linker only when the title surface changed, evict exactly the
+entity linker only when the title surface changed (from the
+generation's :class:`~repro.updates.overlay.TitleTable`, re-tokenising
+only the changed articles), evict exactly the
 expansion-cache entries whose seeds fall inside the delta ball
 (:mod:`repro.updates.invalidation`), publish, and fan the batch out to
 supervised socket workers (which apply it idempotently by sequence
@@ -64,6 +66,7 @@ from repro.updates.log import DeltaLog
 from repro.updates.overlay import (
     OverlayGraphView,
     OverlayState,
+    TitleTable,
     apply_deltas,
     materialize_graph,
 )
@@ -117,6 +120,10 @@ class UpdateCoordinator:
         self._log = DeltaLog(self._snapshot_dir) if self._snapshot_dir else None
         self._lock = threading.Lock()
         self._state = OverlayState(generation=router.generation)
+        # The serving generation's tokenised titles, built on the first
+        # batch that changes titles (a server that takes no writes never
+        # pays for it) and dropped by compaction.
+        self._titles: TitleTable | None = None
         self._metrics = router.metrics
 
     # ------------------------------------------------------------------
@@ -196,7 +203,13 @@ class UpdateCoordinator:
 
         linker = None
         if deltas_touch_titles(applied):
-            linker = EntityLinker(after_view, router.linker_tokenizer)
+            tokenizer = router.linker_tokenizer
+            if self._titles is None:
+                self._titles = TitleTable(base_worker, tokenizer)
+            linker = EntityLinker(
+                after_view, tokenizer,
+                title_index=self._titles.vocabulary(new_state),
+            )
 
         ball = delta_ball(
             changed_nodes(applied), base=base_worker, before=state,
@@ -292,6 +305,7 @@ class UpdateCoordinator:
 
             router.swap_snapshot(new_snapshot)
             self._state = OverlayState(generation=new_generation)
+            self._titles = None
 
             if self._supervisor is not None:
                 # Workers re-resolve CURRENT on exec, so the rolling
@@ -416,6 +430,7 @@ class ShardWorkerUpdater:
         self._base = base_graph
         self._lock = threading.Lock()
         self._state = OverlayState(generation=generation)
+        self._titles: TitleTable | None = None  # built on first title batch
 
     @property
     def generation(self) -> int:
@@ -451,8 +466,12 @@ class ShardWorkerUpdater:
             after_view = OverlayGraphView(self._base, new_state)
             linker = None
             if deltas_touch_titles(applied):
+                tokenizer = self._worker.engine.tokenizer
+                if self._titles is None:
+                    self._titles = TitleTable(self._base, tokenizer)
                 linker = EntityLinker(
-                    after_view, self._worker.engine.tokenizer
+                    after_view, tokenizer,
+                    title_index=self._titles.vocabulary(new_state),
                 )
             ball = delta_ball(
                 changed_nodes(applied), base=self._base, before=state,

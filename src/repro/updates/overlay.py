@@ -27,6 +27,11 @@ the benchmark asserts).
 States are copy-on-write: :func:`apply_deltas` copies the state, applies
 the batch, and returns the new state — published views never observe a
 half-applied batch.
+
+The entity linker's vocabulary follows the same *base + state* rule:
+:class:`TitleTable` tokenises a base's titles once, and
+:meth:`TitleTable.vocabulary` re-tokenises only the articles a state
+changed, instead of rescanning every title per batch.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.errors import DeltaError, UnknownNodeError
+from repro.linking.linker import MAX_TITLE_TOKENS
 from repro.updates.deltas import Delta, validate_delta
 from repro.wiki.graph import WikiGraph
 from repro.wiki.schema import Article, Category, Edge, EdgeKind, normalize_title
@@ -41,6 +47,7 @@ from repro.wiki.schema import Article, Category, Edge, EdgeKind, normalize_title
 __all__ = [
     "OverlayState",
     "OverlayGraphView",
+    "TitleTable",
     "apply_deltas",
     "apply_deltas_to_graph",
     "materialize_graph",
@@ -68,7 +75,7 @@ class OverlayState:
         "_add", "_rem", "articles_override", "removed",
         "redirect_add", "redirect_rem",
         "redirects_of_add", "redirects_of_rem",
-        "touched", "removed_titles",
+        "touched",
         "num_articles_delta", "num_main_delta", "num_edges_delta",
     )
 
@@ -84,7 +91,6 @@ class OverlayState:
         self.redirects_of_add: dict[int, set[int]] = {}
         self.redirects_of_rem: dict[int, set[int]] = {}
         self.touched: set[int] = set()
-        self.removed_titles: set[str] = set()
         self.num_articles_delta = 0
         self.num_main_delta = 0
         self.num_edges_delta = 0
@@ -107,7 +113,6 @@ class OverlayState:
         clone.redirects_of_add = {n: set(v) for n, v in self.redirects_of_add.items()}
         clone.redirects_of_rem = {n: set(v) for n, v in self.redirects_of_rem.items()}
         clone.touched = set(self.touched)
-        clone.removed_titles = set(self.removed_titles)
         clone.num_articles_delta = self.num_articles_delta
         clone.num_main_delta = self.num_main_delta
         clone.num_edges_delta = self.num_edges_delta
@@ -176,7 +181,6 @@ class OverlayState:
             article = Article(node, str(delta.title), is_redirect=False)
             self.articles_override[node] = article
             self.removed.discard(node)
-            self.removed_titles.discard(article.norm_title)
             self.touched.add(node)
             self.num_articles_delta += 1
             self.num_main_delta += 1
@@ -195,7 +199,6 @@ class OverlayState:
                 self.touched.add(target)
             self.removed.add(node)
             self.articles_override.pop(node, None)
-            self.removed_titles.add(article.norm_title)
             self.touched.add(node)
             self.num_articles_delta -= 1
             if not article.is_redirect:
@@ -238,13 +241,11 @@ class OverlayGraphView:
     untouched fast path, or a materialised dict subgraph).
     """
 
-    __slots__ = ("_base", "_state", "_base_title_map", "_base_category_map")
+    __slots__ = ("_base", "_state")
 
     def __init__(self, base, state: OverlayState) -> None:
         self._base = base
         self._state = state
-        self._base_title_map: dict[str, int] | None = None
-        self._base_category_map: dict[str, int] | None = None
 
     @property
     def base(self):
@@ -361,43 +362,22 @@ class OverlayGraphView:
     # Title lookup (entity linking / synonym support)
     # ------------------------------------------------------------------
 
-    def _base_article_by_title(self, norm: str) -> Article | None:
-        base = self._base
-        lookup = getattr(base, "article_by_title", None)
-        if lookup is not None:
-            return lookup(norm)
-        # CompactGraphView has no title map; build one lazily (base is
-        # immutable, so the map never goes stale).
-        if self._base_title_map is None:
-            mapping: dict[str, int] = {}
-            for article in base.articles():
-                mapping.setdefault(article.norm_title, article.node_id)
-            self._base_title_map = mapping
-        node_id = self._base_title_map.get(norm)
-        return None if node_id is None else base.article(node_id)
-
     def article_by_title(self, title: str) -> Article | None:
         norm = normalize_title(title)
         state = self._state
         for article in state.articles_override.values():
             if article.norm_title == norm and article.node_id not in state.removed:
                 return article
-        found = self._base_article_by_title(norm)
-        if found is None or found.node_id in state.removed:
+        found = self._base.article_by_title(norm)
+        if found is None or found.node_id in state.removed \
+                or found.node_id in state.articles_override:
+            # An overridden article still carrying this title matched
+            # above; otherwise a re-add renamed it.
             return None
-        return state.articles_override.get(found.node_id, found)
+        return found
 
     def category_by_name(self, name: str) -> Category | None:
-        base = self._base
-        lookup = getattr(base, "category_by_name", None)
-        if lookup is not None:
-            return lookup(name)
-        if self._base_category_map is None:
-            self._base_category_map = {
-                c.norm_title: c.node_id for c in base.categories()
-            }
-        node_id = self._base_category_map.get(normalize_title(name))
-        return None if node_id is None else base.category(node_id)
+        return self._base.category_by_name(name)
 
     def titles(self) -> Iterator[str]:
         return (a.norm_title for a in self.articles())
@@ -577,6 +557,72 @@ class OverlayGraphView:
             f"OverlayGraphView(gen={state.generation}, last_seq={state.last_seq}, "
             f"touched={len(state.touched)}, base={self._base!r})"
         )
+
+
+class TitleTable:
+    """The tokenised article titles of one frozen base generation.
+
+    ``EntityLinker(OverlayGraphView(base, state), tokenizer)`` tokenises
+    every title of the effective graph; a delta batch changes only a
+    handful of them.  The table tokenises the base once and
+    :meth:`vocabulary` derives the linker vocabulary of any overlay
+    state over that base from it, re-tokenising only the articles the
+    state removed or overrides.  ``tokenizer`` must be the linker's, and
+    the linker must keep its default ``max_title_tokens``.
+    """
+
+    __slots__ = ("_tokenizer", "_ids", "_tokens_of", "_vocabulary")
+
+    def __init__(self, base, tokenizer) -> None:
+        self._tokenizer = tokenizer
+        ids: dict[tuple[str, ...], list[int]] = {}
+        tokens_of: dict[int, tuple[str, ...]] = {}
+        for article in base.articles():
+            tokens = self._tokens(article.title)
+            if tokens is not None:
+                tokens_of[article.node_id] = tokens
+                ids.setdefault(tokens, []).append(article.node_id)
+        for node_ids in ids.values():
+            node_ids.sort()
+        # Matchable tokens -> sorted base ids carrying them; the base
+        # vocabulary keeps the lowest id, as the linker's scan does.
+        self._ids = ids
+        self._tokens_of = tokens_of
+        self._vocabulary = {tokens: node_ids[0] for tokens, node_ids in ids.items()}
+
+    def _tokens(self, title: str) -> tuple[str, ...] | None:
+        tokens = self._tokenizer.tokenize_phrase(title)
+        if not tokens or len(tokens) > MAX_TITLE_TOKENS:
+            return None
+        return tokens
+
+    def vocabulary(self, state: OverlayState) -> dict[tuple[str, ...], int]:
+        """Tokenised title -> lowest article id, over base + ``state``.
+
+        Equal to ``EntityLinker(OverlayGraphView(base, state),
+        tokenizer).vocabulary()``.
+        """
+        vocabulary = dict(self._vocabulary)
+        changed = state.removed | state.articles_override.keys()
+        # Base entries whose id the state removed or overrides fall back
+        # to the lowest id the state left alone, or disappear.
+        stale = {self._tokens_of[n] for n in changed if n in self._tokens_of}
+        for tokens in stale:
+            survivor = next(
+                (n for n in self._ids[tokens] if n not in changed), None
+            )
+            if survivor is None:
+                del vocabulary[tokens]
+            else:
+                vocabulary[tokens] = survivor
+        for node_id, article in state.articles_override.items():
+            tokens = self._tokens(article.title)
+            if tokens is None:
+                continue
+            current = vocabulary.get(tokens)
+            if current is None or node_id < current:
+                vocabulary[tokens] = node_id
+        return vocabulary
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,7 @@ from pathlib import Path
 
 from repro.blobio import map_blob, pack_blob, unpack_blob
 from repro.errors import AnalysisError, UnknownNodeError
-from repro.wiki.schema import Article, Category
+from repro.wiki.schema import Article, Category, normalize_title
 
 __all__ = ["CompactGraphView"]
 
@@ -66,6 +66,7 @@ class CompactGraphView:
         "_adj_offsets", "_adj_targets", "_adj_kinds",
         "_redirect_to", "_redirects_of", "_article_ids", "_decoded",
         "_num_articles", "_num_categories", "_num_edges", "_handle",
+        "_article_by_title", "_category_by_name",
     )
 
     def __init__(
@@ -126,6 +127,10 @@ class CompactGraphView:
             num_edges = owned + len(redirect_to)
         self._num_edges = num_edges
         self._handle = handle
+        # Normalised title -> node id, built on the first lookup (most
+        # processes never look a title up, so loads stay scan-free).
+        self._article_by_title: dict[str, int] | None = None
+        self._category_by_name: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
     # Freezing
@@ -283,6 +288,28 @@ class CompactGraphView:
         for idx, node_id in enumerate(self._node_ids):
             if not self._flags[idx] & _FLAG_ARTICLE:
                 yield Category(node_id, self._titles[idx])
+
+    # ------------------------------------------------------------------
+    # Title lookup (the same maps WikiGraph keeps)
+    # ------------------------------------------------------------------
+
+    def article_by_title(self, title: str) -> Article | None:
+        """Look an article up by (normalised) title; ``None`` if absent."""
+        if self._article_by_title is None:
+            self._article_by_title = {
+                a.norm_title: a.node_id for a in self.articles()
+            }
+        node_id = self._article_by_title.get(normalize_title(title))
+        return None if node_id is None else self.article(node_id)
+
+    def category_by_name(self, name: str) -> Category | None:
+        """Look a category up by (normalised) name; ``None`` if absent."""
+        if self._category_by_name is None:
+            self._category_by_name = {
+                c.norm_title: c.node_id for c in self.categories()
+            }
+        node_id = self._category_by_name.get(normalize_title(name))
+        return None if node_id is None else self.category(node_id)
 
     # ------------------------------------------------------------------
     # Typed adjacency

@@ -15,6 +15,10 @@ would take pytest down with it.
 """
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -275,8 +279,59 @@ class TestInProcessWorkerFaults:
         assert "cached" in link_spans[0].labels
 
 
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat_file:
+            return stat_file.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+_HOLDER = """
+import sys, time
+from repro.service import ShardSupervisor
+supervisor = ShardSupervisor(sys.argv[1], int(sys.argv[2]))
+supervisor.start(timeout_s=120.0)
+print(*(worker["pid"] for worker in supervisor.describe()), flush=True)
+time.sleep(300)
+"""
+
+
 class TestSupervisedWorkers:
     """Real worker processes under ShardSupervisor."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_exit_when_the_supervisor_process_is_killed(
+        self, sharded2_dir
+    ):
+        """SIGKILL gives the supervisor no chance to stop its workers;
+        each worker sees its stdin pipe close and exits by itself."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        holder = subprocess.Popen(
+            [sys.executable, "-c", _HOLDER, str(sharded2_dir), "2"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        pids: list[int] = []
+        try:
+            pids = [int(pid) for pid in holder.stdout.readline().split()]
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+            holder.kill()
+            holder.wait()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and any(map(_running, pids)):
+                time.sleep(0.05)
+            assert not any(map(_running, pids)), pids
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_killed_worker_is_restarted_and_call_succeeds(self, sharded1_dir):
         """kill@2: the first call serves, the second crashes the worker

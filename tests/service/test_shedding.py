@@ -182,7 +182,8 @@ class ShedServer:
 
     def __init__(self, snapshot, admission) -> None:
         self.router = ShardRouter(snapshot)
-        self.gated = GatedService(AsyncShardRouter(self.router))
+        self.service = AsyncShardRouter(self.router)
+        self.gated = GatedService(self.service)
         self.front = HttpFrontEnd(self.gated, admission=admission)
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
@@ -231,6 +232,9 @@ class ShedServer:
         ).result(timeout=30)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=30)
+        # Stops the shard workers the async router spawned for itself
+        # when the suite runs over the socket adapter.
+        self.service.close()
         self.router.close()
 
 

@@ -192,6 +192,29 @@ class TestIdempotencyAndAtomicity:
         )
 
 
+    def test_re_add_under_a_new_title_frees_the_old_one(self, small_benchmark):
+        graph = small_benchmark.graph
+        victim = next(
+            a for a in graph.articles()
+            if not a.is_redirect and not graph.redirects_of(a.node_id)
+        )
+        state, _ = apply_deltas(graph, OverlayState(), [
+            Delta(op="remove_article", seq=1, node_id=victim.node_id),
+            Delta(op="add_article", seq=2, node_id=victim.node_id,
+                  title="Renamed Page"),
+        ])
+        view = OverlayGraphView(graph, state)
+        assert view.article_by_title("renamed page").node_id == victim.node_id
+        assert view.article_by_title(victim.title) is None
+        state, applied = apply_deltas(graph, state, [
+            Delta(op="add_article", seq=3, node_id=_NEW_BASE,
+                  title=victim.title),
+        ])
+        assert len(applied) == 1
+        found = OverlayGraphView(graph, state).article_by_title(victim.title)
+        assert found.node_id == _NEW_BASE
+
+
 class TestViewFastPaths:
     def test_empty_overlay_counts_match_base(self, small_benchmark):
         graph = small_benchmark.graph

@@ -74,6 +74,50 @@ class TestAdjacencyEquivalence:
         assert CompactGraphView.from_graph(compact) is compact
 
 
+class TestTitleLookupParity:
+    """``article_by_title``/``category_by_name`` agree across the dict
+    graph, the CSR view and the partitioned view."""
+
+    @staticmethod
+    def _views(graph, compact):
+        return (graph, compact,
+                PartitionedGraphView(partition_graph(graph, 3)))
+
+    @staticmethod
+    def _variants(title):
+        """The title as stored, re-cased, padded and with underscores."""
+        return (title, title.upper(), f"  {title}  ",
+                title.replace(" ", "_"), title.replace(" ", "   "))
+
+    def test_article_hits_misses_and_unnormalised_input(self, graph, compact):
+        views = self._views(graph, compact)
+        for article in graph.articles():
+            for query in self._variants(article.title):
+                for view in views:
+                    assert view.article_by_title(query) == article, (view, query)
+        for missing in ("no such article", "", "   "):
+            for view in views:
+                assert view.article_by_title(missing) is None, (view, missing)
+        category = next(iter(graph.categories()))
+        if graph.article_by_title(category.name) is None:
+            for view in views:
+                assert view.article_by_title(category.name) is None, view
+
+    def test_category_hits_misses_and_unnormalised_input(self, graph, compact):
+        views = self._views(graph, compact)
+        for category in graph.categories():
+            for query in self._variants(category.name):
+                for view in views:
+                    assert view.category_by_name(query) == category, (view, query)
+        for missing in ("no such category", ""):
+            for view in views:
+                assert view.category_by_name(missing) is None, (view, missing)
+        article = next(iter(graph.articles()))
+        if graph.category_by_name(article.title) is None:
+            for view in views:
+                assert view.category_by_name(article.title) is None, view
+
+
 class TestInducedSubgraph:
     def _some_ball(self, graph, size=60):
         # A deterministic connected-ish chunk: BFS from the lowest id.
